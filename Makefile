@@ -7,7 +7,7 @@ export PYTHONPATH := src
 .PHONY: test test-persist test-sync test-exec test-obs test-chaos \
         test-gateway bench-smoke bench-hotpath bench-shard bench-persist \
         bench-ingest bench-sync bench-exec bench-obs bench-gateway \
-        bench-all check
+        bench-all perfbench check
 
 # Tier-1 verification: the full test suite.
 test:
@@ -102,6 +102,16 @@ bench-gateway:
 # regression anywhere fails this target.
 bench-all: bench-hotpath bench-shard bench-persist bench-ingest \
            bench-sync bench-exec bench-obs bench-gateway
+
+# The repository benchmark (BENCHMARK.json): each of the four
+# workloads once, at one seed, 12 seconds each.  Results land in
+# perfbench_out/; see perfbench/README.md for the metrics.
+PERFBENCH_SEED ?= 1
+perfbench:
+	for w in capture_durable capture_gateway audit_mixed replica_catchup; do \
+		$(PYTHON) perfbench/run.py --workload $$w \
+			--seed $(PERFBENCH_SEED) --seconds 12 || exit 1; \
+	done
 
 # CI-style verification in one command: tier-1 tests, the seeded chaos
 # smoke (3 fault plans, each run twice — deterministic per seed), plus a

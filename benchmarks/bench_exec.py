@@ -22,7 +22,7 @@ Measures what the ISSUE-6 execution engine and storage axis buy:
   budget) still asserts the engine loses < 10% of whatever raw
   multiprocessing can reach there.  Both numbers land in the JSON.
 * **determinism** — byte-identical beacon state and per-shard state
-  roots across serial / thread / process modes, asserted in **every**
+  roots across serial / process modes, asserted in **every**
   mode (smoke included): the engine is only admissible if the
   commitments cannot tell executors apart.
 * **workers curve** — process sealing at 1/2/4 workers.
@@ -247,8 +247,6 @@ def bench_exec_modes(rounds: int, calls_per_round: int, iters: int,
 
     budget = hardware_parallel_budget()
     serial = best_of(repeats, "serial", None, stream, iters, root, "ser")
-    thread = best_of(repeats, "thread", N_SHARDS, stream, iters, root,
-                     "thr")
     curve = [
         best_of(repeats, "process", w, stream, iters, root, f"proc{w}")
         for w in (1, 2, EXEC_WORKERS)
@@ -258,19 +256,18 @@ def bench_exec_modes(rounds: int, calls_per_round: int, iters: int,
     # Determinism gate, asserted in every mode: commitments must be
     # byte-identical regardless of executor.
     reference = serial["_commitments"]
-    for run in [thread, *curve]:
+    for run in curve:
         assert run["_commitments"] == reference, (
             f"{run['executor']}({run['workers']}) diverged from serial"
         )
-    for run in (serial, thread, *curve):
+    for run in (serial, *curve):
         del run["_commitments"]
 
-    for run in (thread, *curve):
+    for run in curve:
         run["speedup_vs_serial"] = round(
             serial["seal_s"] / run["seal_s"], 2)
     section = {
         "serial": serial,
-        "thread": thread,
         "process": process,
         "process_speedup_vs_serial": process["speedup_vs_serial"],
         "hardware_parallel_budget": round(budget, 2),
@@ -443,7 +440,7 @@ def main() -> None:
     serial = exec_section["serial"]
     print(f"  serial      : {serial['seal_s']:7.3f} s seal  "
           f"{serial['txs_per_s']:6d} tx/s")
-    for run in (exec_section["thread"], *curve):
+    for run in curve:
         print(f"  {run['executor']:>7}({run['workers']}) : "
               f"{run['seal_s']:7.3f} s seal  {run['txs_per_s']:6d} tx/s  "
               f"({run['speedup_vs_serial']:.2f}x)")

@@ -13,8 +13,8 @@ provenance record + one capture transaction):
   bounded per-shard queues (submit is O(1)), group-commits records
   (one log write + one fsync + one index transaction per shard per
   burst), batch-admits into mempools, and seals multiple blocks per
-  shard per round through the chain's group-commit surface with the
-  shards sealing on a thread pool.  ``sustained_speedup`` is asserted
+  shard per round through the chain's group-commit surface, the shards
+  sealing in-process one after another.  ``sustained_speedup`` is asserted
   ``>= 2.0`` in full mode.
 * **submit latency** — p50/p99 of what the capture source waits per
   event: the full synchronous ingest call vs the pipeline's enqueue.
@@ -87,7 +87,7 @@ def bench_synchronous(events, burst: int, store_dir: str) -> dict:
     sharded = ShardedChain(
         n_shards=N_SHARDS, max_block_txs=MAX_BLOCK_TXS,
         anchor_batch_size=ANCHOR_BATCH, storage_dir=store_dir,
-        seal_workers=1,
+        executor="serial",
     )
     gc.collect()
     latencies = []
@@ -99,10 +99,10 @@ def bench_synchronous(events, burst: int, store_dir: str) -> dict:
         latencies.append(time.perf_counter() - e0)
         if (i + 1) % burst == 0:
             while sharded.mempool_backlog:
-                sharded.seal_round(parallel=False)
+                sharded.seal_round()
     sharded.flush_anchors()
     while sharded.mempool_backlog:
-        sharded.seal_round(parallel=False)
+        sharded.seal_round()
     total_s = time.perf_counter() - t0
     committed = sharded.total_txs_committed
     sharded.verify_all()
@@ -117,7 +117,7 @@ def bench_synchronous(events, burst: int, store_dir: str) -> dict:
 
 def bench_pipelined(events, burst: int, store_dir: str) -> dict:
     """ISSUE 4 path: queued submission, group-committed records and
-    blocks, thread-pool sealing."""
+    blocks, serial sealing."""
     sharded = ShardedChain(
         n_shards=N_SHARDS, max_block_txs=MAX_BLOCK_TXS,
         anchor_batch_size=ANCHOR_BATCH, storage_dir=store_dir,
@@ -156,7 +156,6 @@ def bench_pipelined(events, burst: int, store_dir: str) -> dict:
             "admitted": stats.admitted,
             "rejected": stats.rejected,
             "rounds_sealed": stats.rounds_sealed,
-            "seal_workers": N_SHARDS,
         },
     }
 
@@ -342,7 +341,7 @@ def main() -> None:
             "+ one index txn per sealed block; pipelined = bounded "
             "per-shard queues, group-committed records and blocks "
             "(one buffered log write + one fsync + one sqlite txn per "
-            "group), thread-pool sealing"
+            "group), serial sealing"
         ),
         "config": {
             "n_events": n_events, "burst": burst, "n_shards": N_SHARDS,

@@ -67,7 +67,8 @@ _HASH_FIELDS = frozenset(
 # at queue admission, mempool admission, and block seal; the first check
 # pays the HMAC, the rest pay one dict probe.  Only sealed transactions
 # are cached — their tx_id provably pins the signed content.  Guarded by
-# a lock: the parallel sealing round validates from worker threads.
+# a lock: the gateway seals on an executor thread while its event loop
+# admits.
 _VERIFIED_SIGNATURES: OrderedDict[tuple[str, bytes, bytes], bool] = \
     OrderedDict()
 _VERIFIED_SIGNATURES_MAX = 8192

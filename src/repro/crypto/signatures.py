@@ -129,7 +129,7 @@ def verify(message: Any, tag: bytes, public: PublicKey) -> bool:
 # exact message bytes, so a hit is sound — the HMAC would recompute the
 # same verdict.  Only successful verifications are cached: failures are
 # cold-path and should stay loud and re-checkable.  Guarded by a lock:
-# the parallel sealing round verifies from worker threads.
+# the gateway seals on an executor thread while its event loop admits.
 _VERIFY_CACHE: OrderedDict[tuple[bytes, bytes, bytes], bool] = OrderedDict()
 _VERIFY_CACHE_MAX = 8192
 _VERIFY_CACHE_LOCK = threading.Lock()

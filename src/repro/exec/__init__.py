@@ -1,8 +1,7 @@
 """Process-pool execution engine: beat the GIL on CPU-bound sealing.
 
-Thread-pool sealing (PR 4) scales only because fsync and sqlite release
-the GIL — Python-side validate/execute/verify work still serializes.
-This package moves that work into worker *processes*:
+In-process sealing runs every shard's validate/execute/verify work under
+one GIL.  This package moves that work into worker *processes*:
 
 * :class:`~repro.exec.pool.ProcessExecPool` — worker lifecycle, one-job-
   in-flight dispatch, death detection + epoch bookkeeping;
@@ -51,7 +50,7 @@ A beacon leaf commits ``(shard, height, block_hash[, state_root])``:
   (:meth:`~repro.chain.blockchain.Blockchain.apply_executed_blocks`),
   so a diverging worker can never anchor state the parent did not
   reproduce.
-* **Merge order is shard order** — exactly as the thread pool does:
+* **Merge order is shard order** — exactly as the serial engine does:
   results are committed as workers finish, but round entries are
   collected per shard and concatenated in shard order before the beacon
   anchor, so the round tree is independent of completion order.

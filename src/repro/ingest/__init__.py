@@ -55,9 +55,8 @@ log+index boundary exactly as for single appends.  Record ingest group-
 commits the same way through
 :meth:`~repro.persist.durable.DurableRecordStore.append_many`.
 
-Shards seal concurrently via the facade's thread pool (sqlite3, fsync,
-and large hashes release the GIL), so wall-clock round time approaches
-the slowest shard rather than the sum — see
+Shards seal one after another in-process by default, or concurrently in
+the :mod:`repro.exec` process pool (``executor="process"``) — see
 :meth:`~repro.sharding.shardchain.ShardedChain.seal_round`.
 """
 

@@ -267,7 +267,7 @@ class IngestPipeline:
     def _offload_pool(self):
         """The sharded chain's exec pool, created on demand when the
         deployment seals in process mode; ``None`` keeps admission on
-        the inline path (in-memory/thread deployments lose nothing)."""
+        the inline path (serial deployments lose nothing)."""
         sharded = self.sharded
         pool = getattr(sharded, "exec_pool", None)
         if pool is None and getattr(sharded, "executor", None) == "process":
@@ -472,14 +472,19 @@ class IngestPipeline:
 
     def run_until_drained(self, max_rounds: int = 10_000
                           ) -> list[RoundReport]:
-        """Seal rounds until queues and mempools are empty."""
+        """Seal rounds until queues and mempools are empty and every
+        shard block is beacon-committed."""
         reports: list[RoundReport] = []
-        while (self.backlog or self.sharded.mempool_backlog) \
-                and len(reports) < max_rounds:
+        while self._undrained() and len(reports) < max_rounds:
             reports.append(self.seal_round())
-        if self.backlog or self.sharded.mempool_backlog:
+        if self._undrained():
             raise ShardError(f"ingest not drained after {max_rounds} rounds")
         return reports
+
+    def _undrained(self) -> bool:
+        sharded = self.sharded
+        return bool(self.backlog or sharded.mempool_backlog
+                    or sharded.unanchored_blocks)
 
     # ------------------------------------------------------------------
     # Observability

@@ -658,9 +658,9 @@ class DurableStorage(MetaStore):
         self.codec = (codec if isinstance(codec, SegmentCodec)
                       else SegmentCodec(codec))
         os.makedirs(self.directory, exist_ok=True)
-        # check_same_thread=False: the parallel sealing round drives each
-        # shard's storage from a worker thread (one worker per shard per
-        # round, never two threads on one connection concurrently).
+        # check_same_thread=False: the gateway seals rounds on an executor
+        # thread, not the thread that opened the store (rounds are
+        # serialized, never two threads on one connection concurrently).
         self._conn = sqlite3.connect(
             os.path.join(self.directory, "index.db"),
             check_same_thread=False,

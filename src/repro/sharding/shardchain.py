@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait as futures_wait
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -40,6 +39,9 @@ from ..provenance.query import ProvenanceQueryEngine, QueryCache
 from ..storage.provdb import ProvenanceDatabase
 from .beacon import BeaconChain, BeaconReceipt
 from .router import ShardRouter, namespace_of
+
+#: Seal engines :meth:`ShardedChain.seal_round` accepts.
+EXECUTORS = ("serial", "process")
 
 
 class Shard:
@@ -136,6 +138,24 @@ class ShardSealStats:
     blocks_produced: int
     duration_s: float
     mempool_backlog: int
+
+
+@dataclass
+class _ShardJob:
+    """One shard's share of a sealing round: the blocks popped from its
+    mempool, its own time in the round so far, and the error that
+    stopped it, if any.  ``frames``, ``widx`` and ``wire`` are set only
+    for a job shipped to the process pool."""
+
+    shard_id: int
+    blocks: list[Block] = field(default_factory=list)
+    txs_sealed: int = 0
+    trace_ctx: Any = None
+    active_s: float = 0.0
+    error: Exception | None = None
+    frames: list[bytes] = field(default_factory=list)
+    widx: int = 0
+    wire: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -264,8 +284,7 @@ class ShardedChain:
         storage_dir: str | None = None,
         snapshot_interval: int = 0,
         checkpoint_every_rounds: int = 0,
-        seal_workers: int | None = None,
-        executor: str = "auto",
+        executor: str = "serial",
         exec_workers: int | None = None,
         contract_runtime_factory=None,
         telemetry=None,
@@ -284,9 +303,7 @@ class ShardedChain:
             raise ShardError("quarantine_after must be >= 0")
         if quarantine_probe_every < 1:
             raise ShardError("quarantine_probe_every must be >= 1")
-        if seal_workers is not None and seal_workers < 1:
-            raise ShardError("seal_workers must be >= 1")
-        if executor not in ("auto", "serial", "thread", "process"):
+        if executor not in EXECUTORS:
             raise ShardError(f"unknown executor mode {executor!r}")
         if exec_workers is not None and exec_workers < 1:
             raise ShardError("exec_workers must be >= 1")
@@ -374,20 +391,8 @@ class ShardedChain:
         self.rounds_sealed = 0
         self._coordinators: list[Any] = []
         self._replica_seq = 0
-        # Thread-pool sealing: None = auto (parallel iff the deployment
-        # is durable, where per-shard fsync/sqlite I/O releases the GIL
-        # and overlaps even on one core; a GIL-bound in-memory deployment
-        # gains nothing from threads).  Sized to shards, not cores — the
-        # waits being overlapped are I/O, not compute.  An explicit int
-        # forces that many workers (1 = serial).
-        if seal_workers is None:
-            seal_workers = (min(n_shards, 8)
-                            if storage_dir is not None else 1)
-        self.seal_workers = seal_workers
-        self._seal_pool: ThreadPoolExecutor | None = None
         # Process-pool sealing (repro.exec): default executor mode for
-        # seal_round ("auto" = thread when seal_workers > 1, else
-        # serial), pool width, the cached pool itself, and per-shard
+        # seal_round, pool width, the cached pool itself, and per-shard
         # replica bookkeeping — (worker index, worker epoch, height,
         # state root) last confirmed held by the shard's exec worker.
         # A mismatch at job-build time ships a fresh state image.
@@ -576,9 +581,6 @@ class ShardedChain:
 
     def close(self) -> None:
         """Checkpoint and release every store (reopenable afterwards)."""
-        if self._seal_pool is not None:
-            self._seal_pool.shutdown(wait=True)
-            self._seal_pool = None
         if self._exec_pool is not None:
             self._exec_pool.shutdown()
             self._exec_pool = None
@@ -598,9 +600,6 @@ class ShardedChain:
         while derived facade/beacon meta stays at the last checkpoint,
         which is what a reopened :class:`ShardedChain` plus
         ``CrossShardCoordinator(recover=True)`` must cope with."""
-        if self._seal_pool is not None:
-            self._seal_pool.shutdown(wait=True, cancel_futures=True)
-            self._seal_pool = None
         if self._exec_pool is not None:
             self._exec_pool.shutdown()
             self._exec_pool = None
@@ -634,6 +633,15 @@ class ShardedChain:
     @property
     def mempool_backlog(self) -> int:
         return sum(len(s.mempool) for s in self.shards)
+
+    @property
+    def unanchored_blocks(self) -> int:
+        """Shard blocks not yet committed to the beacon — anchor-service
+        blocks appended since the last round, or a failed round's
+        blocks.  The next :meth:`seal_round` anchors them."""
+        return sum(max(0, shard.chain.height
+                       - self._anchored_height[shard.shard_id])
+                   for shard in self.shards)
 
     def verify_all(self, deep: bool = False) -> None:
         """Audit every shard chain and the beacon (raises on tampering)."""
@@ -1097,45 +1105,61 @@ class ShardedChain:
                            shard.chain.state.state_root())
         return entries
 
-    def _seal_shard_round(
-        self, shard_id: int, ts: int, blocks_per_shard: int,
-    ) -> tuple[ShardSealStats, list[tuple[int, int, bytes, bytes]], int]:
-        """One shard's whole round of work: drain up to
-        ``blocks_per_shard`` block batches from its mempool, build the
-        chained blocks, and commit them through the chain's group-commit
-        surface (one log write + one fsync + one index transaction on a
-        durable store).  Thread-safe per shard: touches only this
-        shard's stack, its slots of the per-shard arrays, and reads of
-        the lock table (which never mutates mid-round)."""
-        shard = self.shard(shard_id)
+    def _build_shard_job(self, shard_id: int, ts: int,
+                         blocks_per_shard: int, pool) -> _ShardJob:
+        """Round step 1 for one shard: pop and build its blocks and, for
+        the process pool, encode them once (the wire frames double as
+        the store frames) into the exec job for the shard's worker.  An
+        error is recorded on the job, not raised, and the popped
+        transactions go back to the mempool."""
+        job = _ShardJob(shard_id)
         t0 = time.perf_counter()
-        new_blocks, txs_sealed = self._pop_round_blocks(
-            shard_id, ts, blocks_per_shard
-        )
-        ctx = self._round_trace_ctx(new_blocks)
-        with self._tracer.span("shard.seal_round", parent=ctx) as span:
-            span.set_attr("shard", shard_id)
-            span.set_attr("txs", txs_sealed)
-            self._append_popped_blocks(shard_id, new_blocks)
-            entries = self._collect_round_entries(shard_id)
-        self._m_seal_shard_s.observe(time.perf_counter() - t0)
-        stats = ShardSealStats(
-            txs_sealed=txs_sealed,
-            blocks_produced=len(entries),
-            duration_s=(time.perf_counter() - t0
-                        + self._pending_ingest_s[shard_id]),
-            mempool_backlog=len(shard.mempool),
-        )
-        self._pending_ingest_s[shard_id] = 0.0
-        return stats, entries, shard.chain.height
-
-    def _get_seal_pool(self) -> ThreadPoolExecutor:
-        if self._seal_pool is None:
-            self._seal_pool = ThreadPoolExecutor(
-                max_workers=self.seal_workers,
-                thread_name_prefix="shard-seal",
+        try:
+            job.blocks, job.txs_sealed = self._pop_round_blocks(
+                shard_id, ts, blocks_per_shard
             )
-        return self._seal_pool
+            job.trace_ctx = self._round_trace_ctx(job.blocks)
+            if pool is not None and job.blocks:
+                from ..persist.codec import encode_block
+
+                job.widx = shard_id % pool.n_workers
+                job.frames = [encode_block(block) for block in job.blocks]
+                job.wire = self._build_exec_job(
+                    shard_id, job.blocks, job.frames, job.widx, pool,
+                    trace_ctx=job.trace_ctx,
+                )
+                self._m_exec_offloaded.inc()
+        except Exception as exc:  # noqa: BLE001 - the round's policy decides
+            job.error = exc
+            for block in job.blocks:
+                self.shards[shard_id].mempool.add_many(block.transactions)
+        job.active_s = time.perf_counter() - t0
+        return job
+
+    def _commit_shard_job(self, job: _ShardJob, response: bytes | None = None,
+                          pool=None) -> None:
+        """Round step 2 for one shard: apply its worker's reply (process
+        pool) or execute its blocks in-process, committing through the
+        chain's group-commit surface (one log write + one fsync + one
+        index transaction on a durable store).  Either way a failure
+        re-admits the uncommitted transactions and is recorded on the
+        job, not raised."""
+        t0 = time.perf_counter()
+        try:
+            with self._tracer.span("shard.commit",
+                                   parent=job.trace_ctx) as span:
+                span.set_attr("shard", job.shard_id)
+                span.set_attr("txs", job.txs_sealed)
+                if job.wire is None:
+                    self._append_popped_blocks(job.shard_id, job.blocks)
+                else:
+                    self._apply_exec_response(
+                        job.shard_id, job.blocks, job.frames, response,
+                        job.widx, pool,
+                    )
+        except Exception as exc:  # noqa: BLE001 - the round's policy decides
+            job.error = exc
+        job.active_s += time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     # Process-pool sealing (repro.exec)
@@ -1296,97 +1320,10 @@ class ShardedChain:
         except Exception:  # noqa: BLE001 - observability is best-effort
             pass
 
-    def _seal_round_process(
-        self, selected: list[int], ts: int, blocks_per_shard: int,
-        workers: int | None,
-        failures: dict[int, dict] | None = None,
-    ) -> list[tuple[ShardSealStats, list, int] | None]:
-        """Round body for ``executor="process"``: pop + build every
-        shard's blocks, encode them once (wire frames double as the
-        store frames), fan out to the pool, and commit each shard **as
-        its worker finishes** — parent-side durable commits overlap the
-        other workers' compute, which is most of the win on small
-        machines.  Entries are collected per shard afterwards and merged
-        in shard order by seal_round, so the beacon commitment is
-        identical to the serial and thread paths."""
-        from ..persist.codec import encode_block
-
-        pool = self._get_exec_pool(workers)
-        prepared: dict[int, list | None] = {}
-        jobs: list[tuple[int, bytes]] = []
-        job_shards: list[int] = []
-        for shard_id in selected:
-            t0 = time.perf_counter()
-            try:
-                blocks, txs_sealed = self._pop_round_blocks(
-                    shard_id, ts, blocks_per_shard
-                )
-            except ReproError as exc:
-                if failures is None:
-                    raise
-                failures[shard_id] = self._note_seal_failure(shard_id,
-                                                             exc)
-                prepared[shard_id] = None
-                continue
-            widx = shard_id % pool.n_workers
-            ctx = self._round_trace_ctx(blocks)
-            # [blocks, frames, txs_sealed, widx, active_s, trace_ctx]
-            entry = [blocks, [], txs_sealed, widx, 0.0, ctx]
-            if blocks:
-                entry[1] = [encode_block(block) for block in blocks]
-                jobs.append(
-                    (widx,
-                     self._build_exec_job(shard_id, blocks, entry[1],
-                                          widx, pool, trace_ctx=ctx))
-                )
-                job_shards.append(shard_id)
-                self._m_exec_offloaded.inc()
-            entry[4] = time.perf_counter() - t0
-            prepared[shard_id] = entry
-        for job_index, response in pool.run(jobs):
-            shard_id = job_shards[job_index]
-            entry = prepared[shard_id]
-            t0 = time.perf_counter()
-            try:
-                with self._tracer.span("shard.commit",
-                                       parent=entry[5]) as span:
-                    span.set_attr("shard", shard_id)
-                    self._apply_exec_response(
-                        shard_id, entry[0], entry[1], response, entry[3],
-                        pool,
-                    )
-            except ReproError as exc:
-                if failures is None:
-                    raise
-                failures[shard_id] = self._note_seal_failure(shard_id,
-                                                             exc)
-                prepared[shard_id] = None
-                continue
-            entry[4] += time.perf_counter() - t0
-        results: list[tuple[ShardSealStats, list, int] | None] = []
-        for shard_id in selected:
-            entry = prepared[shard_id]
-            if entry is None:
-                results.append(None)
-                continue
-            shard = self.shards[shard_id]
-            entries = self._collect_round_entries(shard_id)
-            self._m_seal_shard_s.observe(entry[4])
-            stats = ShardSealStats(
-                txs_sealed=entry[2],
-                blocks_produced=len(entries),
-                duration_s=entry[4] + self._pending_ingest_s[shard_id],
-                mempool_backlog=len(shard.mempool),
-            )
-            self._pending_ingest_s[shard_id] = 0.0
-            results.append((stats, entries, shard.chain.height))
-        return results
-
     def seal_round(
         self,
         shard_ids: Sequence[int] | None = None,
         timestamp: int | None = None,
-        parallel: bool | None = None,
         blocks_per_shard: int = 1,
         executor: str | None = None,
         workers: int | None = None,
@@ -1400,43 +1337,42 @@ class ShardedChain:
         too, so every shard block ends up under exactly one beacon
         header.
 
-        ``executor`` selects the round engine (``None`` = the facade's
-        configured default):
+        A round is one pipeline whatever the engine:
 
-        * ``"serial"`` — in-process, one shard after another;
-        * ``"thread"`` — the facade's thread pool: overlaps per-shard
-          fsync/sqlite I/O (GIL released), execution still serializes;
-        * ``"process"`` — the :mod:`repro.exec` pool (``workers`` sets
-          its width, cached across rounds): validation and execution run
-          in worker processes, the parent applies state deltas and
-          commits as each worker finishes, with graceful in-process
-          fallback for any worker that dies mid-round.
+        1. build every selected shard's job (pop + build its blocks);
+        2. run the jobs — ``executor`` picks how (``None`` = the
+           facade's configured default):
 
-        The legacy ``parallel`` flag forces thread (True) or serial
-        (False) and is ignored when ``executor`` is given explicitly.
-        Whatever the engine, results are merged in shard order, so the
-        beacon commitment is byte-identical across all three.
+           * ``"serial"`` — in-process, one shard after another;
+           * ``"process"`` — the :mod:`repro.exec` pool (``workers``
+             sets its width, cached across rounds): validation and
+             execution run in worker processes, the parent applies
+             state deltas and commits as each worker finishes, with
+             in-process fallback for any worker that dies mid-round;
+
+        3. apply one error policy once every selected shard has run:
+           with ``quarantine_after > 0`` a shard's
+           :class:`~repro.errors.ReproError` is attributed in
+           :attr:`RoundReport.failed_shards` (and counts towards its
+           quarantine) while the others seal; otherwise — or for any
+           other error — the first error in shard order is raised,
+           nothing is beacon-committed and no anchored watermark moves;
+        4. merge in shard order and commit the beacon round, so the
+           beacon commitment is byte-identical across engines.
         """
         if blocks_per_shard < 1:
             raise ShardError("blocks_per_shard must be >= 1")
-        mode = executor
-        if mode is None:
-            if parallel is not None:
-                mode = "thread" if parallel else "serial"
-            else:
-                mode = self.executor
-        if mode == "auto":
-            mode = "thread" if self.seal_workers > 1 else "serial"
-        if mode not in ("serial", "thread", "process"):
+        mode = self.executor if executor is None else executor
+        if mode not in EXECUTORS:
             raise ShardError(f"unknown executor mode {mode!r}")
         self._expire_stale_locks()
-        selected = list(range(len(self.shards)) if shard_ids is None
-                        else shard_ids)
-        if shard_ids is None and self._quarantined:
+        if shard_ids is not None:
+            selected = [self.shard(sid).shard_id for sid in shard_ids]
+        else:
             # Skip quarantined shards except on their probe rounds — a
             # probe that seals cleanly re-admits the shard below.
             selected = [
-                sid for sid in selected
+                sid for sid in range(len(self.shards))
                 if sid not in self._quarantined
                 or (self.rounds_sealed - self._quarantined[sid])
                 % self.quarantine_probe_every == 0
@@ -1445,72 +1381,52 @@ class ShardedChain:
         round_t0 = time.perf_counter()
         per_shard: dict[int, ShardSealStats] = {}
         failed_shards: dict[int, dict] = {}
+        heights: dict[int, int] = {}
         entries: list[tuple[int, int, bytes, bytes]] = []
         tolerant = self.quarantine_after > 0
         with self._tracer.root_span("round.seal") as round_span:
             round_span.set_attr("round", self.rounds_sealed)
             round_span.set_attr("mode", mode)
-            if mode == "process":
-                results = self._seal_round_process(
-                    selected, ts, blocks_per_shard, workers,
-                    failures=failed_shards if tolerant else None,
-                )
-            elif mode == "thread" and len(selected) > 1:
-                futures = [
-                    self._get_seal_pool().submit(
-                        self._seal_shard_round, sid, ts, blocks_per_shard
-                    )
-                    for sid in selected
-                ]
-                # Wait for EVERY worker before surfacing a failure:
-                # raising while siblings still run would let a retry
-                # round start a second task on a shard whose first task
-                # is mid-mutation.
-                futures_wait(futures)
-                if not tolerant:
-                    first_error = next(
-                        (f.exception() for f in futures
-                         if f.exception() is not None), None,
-                    )
-                    if first_error is not None:
-                        raise first_error
-                    results = [future.result() for future in futures]
-                else:
-                    results = []
-                    for sid, future in zip(selected, futures):
-                        exc = future.exception()
-                        if exc is None:
-                            results.append(future.result())
-                        elif isinstance(exc, ReproError):
-                            failed_shards[sid] = \
-                                self._note_seal_failure(sid, exc)
-                            results.append(None)
-                        else:
-                            raise exc
-            elif not tolerant:
-                results = [
-                    self._seal_shard_round(sid, ts, blocks_per_shard)
-                    for sid in selected
-                ]
+            pool = self._get_exec_pool(workers) if mode == "process" \
+                else None
+            jobs = [self._build_shard_job(sid, ts, blocks_per_shard, pool)
+                    for sid in selected]                        # 1.
+            if pool is None:                                    # 2.
+                for job in jobs:
+                    if job.error is None and job.blocks:
+                        self._commit_shard_job(job)
             else:
-                results = []
-                for sid in selected:
-                    try:
-                        results.append(
-                            self._seal_shard_round(sid, ts,
-                                                   blocks_per_shard)
-                        )
-                    except ReproError as exc:
-                        failed_shards[sid] = \
-                            self._note_seal_failure(sid, exc)
-                        results.append(None)
-            for shard_id, result in zip(selected, results):
-                if result is None:
+                # Commit each shard as its worker finishes: parent-side
+                # durable commits overlap the other workers' compute.
+                shipped = [job for job in jobs if job.wire is not None]
+                for index, response in pool.run(
+                        [(job.widx, job.wire) for job in shipped]):
+                    self._commit_shard_job(shipped[index], response, pool)
+            for job in jobs:                                    # 3.
+                if job.error is not None and not (
+                        tolerant and isinstance(job.error, ReproError)):
+                    raise job.error
+            for job in jobs:                                    # 4.
+                sid = job.shard_id
+                if job.error is not None:
+                    failed_shards[sid] = self._note_seal_failure(sid,
+                                                                 job.error)
                     continue
                 if tolerant:
-                    self._note_seal_success(shard_id)
-                stats, shard_entries, _ = result
-                per_shard[shard_id] = stats
+                    self._note_seal_success(sid)
+                t0 = time.perf_counter()
+                shard_entries = self._collect_round_entries(sid)
+                active_s = job.active_s + time.perf_counter() - t0
+                self._m_seal_shard_s.observe(active_s)
+                shard = self.shards[sid]
+                per_shard[sid] = ShardSealStats(
+                    txs_sealed=job.txs_sealed,
+                    blocks_produced=len(shard_entries),
+                    duration_s=active_s + self._pending_ingest_s[sid],
+                    mempool_backlog=len(shard.mempool),
+                )
+                self._pending_ingest_s[sid] = 0.0
+                heights[sid] = shard.chain.height
                 entries.extend(shard_entries)
             t0 = time.perf_counter()
             with self._tracer.span("round.beacon_commit") as beacon_span:
@@ -1525,9 +1441,8 @@ class ShardedChain:
         # beacon commitment durable: a seal or beacon failure above
         # leaves the watermarks untouched, so the next successful round
         # re-collects (and actually anchors) the same blocks.
-        for shard_id, result in zip(selected, results):
-            if result is not None:
-                self._anchored_height[shard_id] = result[2]
+        for sid, height in heights.items():
+            self._anchored_height[sid] = height
         report = RoundReport(
             round_no=self.rounds_sealed,
             per_shard=per_shard,
@@ -1597,11 +1512,13 @@ class ShardedChain:
         )
 
     def seal_until_drained(self, max_rounds: int = 10_000) -> list[RoundReport]:
-        """Seal rounds until every mempool is empty (bench/test helper)."""
+        """Seal rounds until every mempool is empty and every shard block
+        is beacon-committed (bench/test helper)."""
         reports: list[RoundReport] = []
-        while self.mempool_backlog and len(reports) < max_rounds:
+        while (self.mempool_backlog or self.unanchored_blocks) \
+                and len(reports) < max_rounds:
             reports.append(self.seal_round())
-        if self.mempool_backlog:
+        if self.mempool_backlog or self.unanchored_blocks:
             raise ShardError(
                 f"mempools not drained after {max_rounds} rounds"
             )

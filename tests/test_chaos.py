@@ -262,24 +262,39 @@ class TestLeasesAndFencing:
 
 
 class TestQuarantine:
-    def _flaky(self, sharded, victim, failures):
-        orig = sharded._seal_shard_round
+    """Both seal engines pop every selected shard's blocks through
+    ``_pop_round_blocks``, so a failure injected there exercises each
+    engine's run of the one round pipeline and its error policy."""
 
-        def seal(shard_id, ts, blocks_per_shard):
+    EXECUTORS = ("serial", "process")
+
+    def _flaky(self, sharded, victim, failures):
+        orig = sharded._pop_round_blocks
+
+        def pop(shard_id, ts, blocks_per_shard):
             if shard_id == victim and failures["left"] > 0:
                 failures["left"] -= 1
                 raise ShardError("injected seal failure",
                                  reason="seal_failed", shard_id=victim)
             return orig(shard_id, ts, blocks_per_shard)
 
-        sharded._seal_shard_round = seal
+        sharded._pop_round_blocks = pop
 
     def test_failing_shard_is_quarantined_and_readmitted(self):
-        sharded = ShardedChain(4, quarantine_after=2,
-                               quarantine_probe_every=2,
-                               executor="serial")
+        for executor in self.EXECUTORS:
+            sharded = ShardedChain(4, quarantine_after=2,
+                                   quarantine_probe_every=2,
+                                   executor=executor, exec_workers=2)
+            try:
+                self._quarantine_and_readmit(sharded)
+            finally:
+                sharded.close()
+
+    def _quarantine_and_readmit(self, sharded):
         failures = {"left": 2}
         self._flaky(sharded, victim=1, failures=failures)
+        sharded.submit_many([record_tx(f"t{i % 9}/asset", i)
+                             for i in range(32)])
         # Two consecutive failed rounds: attributed, then quarantined —
         # the round itself still seals for the healthy shards.
         r1 = sharded.seal_round(timestamp=1)
@@ -300,13 +315,19 @@ class TestQuarantine:
         assert "1" not in sharded.health_report()["quarantined_shards"]
         assert (sharded.telemetry.registry
                 .counter("shard_readmitted_total").value >= 1)
+        # Failed rounds lost nothing: every tx is sealed or still queued.
+        assert sharded.total_txs_committed + sharded.mempool_backlog == 32
 
     def test_quarantine_disabled_by_default(self):
-        sharded = ShardedChain(2, executor="serial")
-        failures = {"left": 1}
-        self._flaky(sharded, victim=0, failures=failures)
-        with pytest.raises(ShardError):
-            sharded.seal_round(timestamp=1)
+        for executor in self.EXECUTORS:
+            sharded = ShardedChain(2, executor=executor, exec_workers=2)
+            try:
+                failures = {"left": 1}
+                self._flaky(sharded, victim=0, failures=failures)
+                with pytest.raises(ShardError):
+                    sharded.seal_round(timestamp=1)
+            finally:
+                sharded.close()
 
 
 class TestNetRetryPolicy:

@@ -132,7 +132,6 @@ def serial_commitments(tmp_path_factory):
 
 class TestExecutorParity:
     @pytest.mark.parametrize("executor,workers", [
-        ("thread", N_SHARDS),
         ("process", 1),
         ("process", 2),
     ])
@@ -186,8 +185,11 @@ class TestExecutorParity:
 
     def test_unknown_executor_rejected(self):
         sc = ShardedChain(1)
-        with pytest.raises(ShardError):
-            sc.seal_round(executor="rayon")
+        for mode in ("rayon", "thread", "auto"):
+            with pytest.raises(ShardError):
+                ShardedChain(1, executor=mode)
+            with pytest.raises(ShardError):
+                sc.seal_round(executor=mode)
         sc.close()
 
 

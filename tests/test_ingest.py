@@ -22,7 +22,8 @@ from repro.errors import (
 )
 from repro.ingest import IngestPipeline
 from repro.persist import CrashPoint, DurableStorage, SegmentLog
-from repro.sharding import CrossShardCoordinator, ShardedChain
+from repro.sharding import (CrossShardCoordinator, ShardedChain,
+                            ShardedQueryEngine)
 from repro.storage.provdb import ProvenanceDatabase
 
 
@@ -156,8 +157,6 @@ class TestQueueBackpressure:
             IngestPipeline(sharded, high_watermark=0.0)
         with pytest.raises(ShardError):
             IngestPipeline(sharded, max_blocks_per_round=0)
-        with pytest.raises(ShardError):
-            ShardedChain(n_shards=1, seal_workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +393,7 @@ class TestPipelineEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Locks and parallel sealing
+# Locks and sealing
 # ---------------------------------------------------------------------------
 class TestPumpAndSealing:
     def test_pump_defers_locked_transactions(self):
@@ -423,32 +422,6 @@ class TestPumpAndSealing:
         pipe.run_until_drained()
         assert sharded.shard_for_subject(source).chain.find_transaction(
             locked_tx.tx_id) is not None
-
-    def test_parallel_and_serial_rounds_agree(self):
-        txs = [data_tx(i, tenant=f"t{i % 9}", fee=i % 4)
-               for i in range(200)]
-        serial = ShardedChain(n_shards=4, max_block_txs=16)
-        serial.submit_many(txs)
-        while serial.mempool_backlog:
-            serial.seal_round(parallel=False)
-
-        threaded = ShardedChain(n_shards=4, max_block_txs=16,
-                                seal_workers=4)
-        threaded.submit_many(txs)
-        while threaded.mempool_backlog:
-            threaded.seal_round(parallel=True)
-        assert shard_heads(threaded) == shard_heads(serial)
-        assert threaded.beacon.chain.head.block_hash == \
-            serial.beacon.chain.head.block_hash
-        threaded.verify_all(deep=True)
-
-    def test_durable_deployment_defaults_to_pool(self, tmp_path):
-        durable = ShardedChain(n_shards=4,
-                               storage_dir=str(tmp_path / "auto"))
-        assert durable.seal_workers == 4
-        durable.close()
-        memory = ShardedChain(n_shards=4)
-        assert memory.seal_workers == 1
 
     def test_multi_block_rounds_drain_deep_backlogs(self):
         sharded = ShardedChain(n_shards=2, max_block_txs=8)
@@ -723,7 +696,7 @@ class TestGroupCommitCrash:
 
 
 # ---------------------------------------------------------------------------
-# PR-4 gap coverage: round-pace EWMA and parallel-seal failure retry
+# Round-pace EWMA, seal-failure retry and the drain helpers
 # ---------------------------------------------------------------------------
 class TestRoundPaceEwma:
     def test_pre_first_seal_window_clamps_to_the_floor(self):
@@ -797,12 +770,13 @@ class TestRoundPaceEwma:
 
 class TestParallelSealFailure:
     def test_failed_shard_retries_and_survivors_still_anchor(self):
-        sharded = ShardedChain(n_shards=3, max_block_txs=8,
-                               seal_workers=3)
+        sharded = ShardedChain(n_shards=3, max_block_txs=8)
         txs = [data_tx(i, tenant=f"t{i % 9}") for i in range(60)]
         report = sharded.submit_many(txs)
         assert report.rejected_total == 0
         victim = sharded.shards[1]
+        survivors = (sharded.shards[0], sharded.shards[2])
+        victim_backlog = len(victim.mempool)
         original = victim.chain.append_blocks
 
         def exploding(blocks):
@@ -810,20 +784,60 @@ class TestParallelSealFailure:
 
         victim.chain.append_blocks = exploding
         with pytest.raises(RuntimeError):
-            sharded.seal_round(parallel=True, blocks_per_shard=2)
+            sharded.seal_round(blocks_per_shard=2)
         victim.chain.append_blocks = original
-        # The failed round anchored nothing: surviving shards' new
-        # blocks wait for the next successful round.
-        for shard in (sharded.shards[0], sharded.shards[2]):
-            if shard.chain.height > 0:
-                assert not sharded.beacon.is_anchored(
-                    shard.shard_id, shard.chain.height)
+        # Every selected shard ran before the error surfaced: the shards
+        # on both sides of the failing one sealed their blocks, and the
+        # victim's transactions went back to its mempool.
+        for shard in survivors:
+            assert shard.chain.height > 0
+        assert victim.chain.height == 0
+        assert len(victim.mempool) == victim_backlog
+        # The failed round anchored nothing and advanced no watermark:
+        # the survivors' new blocks wait for the next successful round.
+        assert sharded.unanchored_blocks == sum(
+            shard.chain.height for shard in survivors)
+        for shard in survivors:
+            assert not sharded.beacon.is_anchored(
+                shard.shard_id, shard.chain.height)
         # Retry: every shard's blocks (including the survivors' from the
         # failed round) get beacon-anchored, and nothing was lost.
-        sharded.seal_round(parallel=True, blocks_per_shard=2)
+        sharded.seal_round(blocks_per_shard=2)
+        assert sharded.unanchored_blocks == 0
         sharded.seal_until_drained()
         assert sharded.total_txs_committed == 60
         for shard in sharded.shards:
             for height in range(1, shard.chain.height + 1):
                 assert sharded.beacon.is_anchored(shard.shard_id, height)
         sharded.verify_all(deep=True)
+
+
+class TestDrainHelpers:
+    @pytest.mark.parametrize("helper", ["pipeline", "sharded"])
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_drain_beacon_commits_anchor_blocks(self, tmp_path, durable,
+                                                helper):
+        # 64 records on one subject: eight full anchor batches, flushed
+        # into eight shard blocks by ingest_records itself — the
+        # mempools stay empty, yet the blocks are not beacon-committed.
+        storage_dir = str(tmp_path / "store") if durable else None
+        sharded = ShardedChain(n_shards=2, anchor_batch_size=8,
+                               storage_dir=storage_dir)
+        sharded.ingest_records([record_for(i) for i in range(64)])
+        home = sharded.shard_for_subject("t0/obj")
+        assert sharded.mempool_backlog == 0
+        assert home.chain.height == 8
+        engine = ShardedQueryEngine(sharded)
+        assert not engine.history_verified("t0/obj").verified
+        if helper == "pipeline":
+            reports = IngestPipeline(sharded).run_until_drained()
+        else:
+            reports = sharded.seal_until_drained()
+        assert len(reports) == 1
+        assert sharded.unanchored_blocks == 0
+        for height in range(1, 9):
+            assert sharded.beacon.is_anchored(home.shard_id, height)
+        answer = engine.history_verified("t0/obj")
+        assert len(answer.records) == 64
+        assert answer.verified
+        sharded.close()
