@@ -7,7 +7,7 @@ export PYTHONPATH := src
 .PHONY: test test-persist test-sync test-exec test-obs test-chaos \
         test-gateway bench-smoke bench-hotpath bench-shard bench-persist \
         bench-ingest bench-sync bench-exec bench-obs bench-gateway \
-        bench-all perfbench check
+        bench-all perfbench perfbench-pairs check
 
 # Tier-1 verification: the full test suite.
 test:
@@ -112,6 +112,20 @@ perfbench:
 		$(PYTHON) perfbench/run.py --workload $$w \
 			--seed $(PERFBENCH_SEED) --seconds 12 || exit 1; \
 	done
+
+# Paired A/B runs of one workload: commit BASE vs the working tree,
+# PAIRS pairs at seeds SEED0, SEED0+1, ... (which side runs first
+# alternates per pair).  Prints per-metric medians, quartiles, win
+# counts and whether the medians differ by more than BASE's IQR; see
+# scripts/perfbench_pairs.py.  Example:
+#   make perfbench-pairs WORKLOAD=capture_durable BASE=HEAD PAIRS=10
+PAIRS ?= 10
+SEED0 ?= 101
+perfbench-pairs:
+	@test -n "$(WORKLOAD)" -a -n "$(BASE)" || \
+		{ echo "usage: make perfbench-pairs WORKLOAD=... BASE=..."; exit 2; }
+	$(PYTHON) scripts/perfbench_pairs.py --workload $(WORKLOAD) \
+		--base $(BASE) --pairs $(PAIRS) --seed0 $(SEED0)
 
 # CI-style verification in one command: tier-1 tests, the seeded chaos
 # smoke (3 fault plans, each run twice — deterministic per seed), plus a

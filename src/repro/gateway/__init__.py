@@ -18,7 +18,7 @@ Frame format
 One frame is ``u32 big-endian payload length || payload``; the payload
 is :func:`repro.serialization.canonical_encode` of a str-keyed mapping.
 That is deliberately the codec every hash and signature already uses
-(:mod:`repro.persist.codec` adds the inverse), so the wire format
+(:mod:`repro.serialization` owns both directions), so the wire format
 inherits the storage format's round-trip guarantee: a transaction
 decoded off the socket re-encodes to the exact bytes it is hashed and
 signed over — signatures verify server-side with no re-signing, and a

@@ -14,7 +14,7 @@ submits put many transaction mappings in one frame (``"txs"``); batched
 replies stream back as multiple frames (see :mod:`repro.gateway`'s
 design note for the full state machine).
 
-Corruption policy is fail-closed, mirroring :func:`repro.persist.codec.
+Corruption policy is fail-closed, mirroring :func:`repro.serialization.
 canonical_decode`: an oversized length prefix, truncated payload, or a
 payload that does not decode to a mapping raises
 :class:`~repro.errors.GatewayError` — garbage never half-parses.

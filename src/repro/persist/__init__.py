@@ -29,8 +29,8 @@ with two backends each:
 
 **Why the hash encoding is the wire format.**  Frames hold the *same*
 canonical bytes every hash and signature already commits to
-(:mod:`repro.serialization`), and :func:`repro.persist.codec.canonical_decode`
-is its exact inverse.  A block read back from disk therefore re-hashes to
+(:mod:`repro.serialization`), and
+:func:`repro.serialization.canonical_decode` is its exact inverse.  A block read back from disk therefore re-hashes to
 the block hash the index recorded — corruption surfaces as a hash
 mismatch, never as silently different data, which is precisely the
 tamper-evidence argument the chain itself makes.

@@ -1,13 +1,13 @@
 """Byte codec for durable storage.
 
-The repo already has one canonical, deterministic byte encoding — the
+The repo has one canonical, deterministic byte encoding — the
 type-tagged, length-prefixed format in :mod:`repro.serialization` that
 every hash and signature is computed over.  Durable storage reuses it as
-the *wire format* of the segment logs: the encoding is self-describing
-(every value carries its tag and length), so this module adds the exact
-inverse, :func:`canonical_decode`, plus mapping converters for the three
-object kinds the stores persist — blocks (with their transactions),
-execution receipts, and provenance records.
+the *wire format* of the segment logs.  :mod:`repro.serialization` owns
+both directions of the format (``canonical_decode`` is re-exported here
+for the stores and their callers); this module adds the mapping
+converters for the three object kinds the stores persist — blocks (with
+their transactions), execution receipts, and provenance records.
 
 Using the hash encoding as the storage encoding is what makes the
 round-trip guarantees cheap to state: a decoded transaction re-encodes to
@@ -26,7 +26,7 @@ from ..chain.receipts import Event, TransactionReceipt
 from ..chain.transaction import Transaction, TxKind
 from ..crypto.signatures import PublicKey
 from ..errors import SerializationError, StorageError
-from ..serialization import canonical_encode
+from ..serialization import canonical_decode, canonical_encode
 
 __all__ = [
     "canonical_decode",
@@ -39,83 +39,6 @@ __all__ = [
     "transaction_to_mapping",
     "transaction_from_mapping",
 ]
-
-
-# ---------------------------------------------------------------------------
-# canonical_decode — inverse of repro.serialization.canonical_encode
-# ---------------------------------------------------------------------------
-def canonical_decode(data: bytes) -> Any:
-    """Decode canonical bytes back into the value that produced them.
-
-    Exact inverse of :func:`repro.serialization.canonical_encode` for
-    every value that function accepts (sequences come back as lists,
-    mappings as dicts).  Raises :class:`SerializationError` on trailing
-    bytes, truncation, or an unknown tag — corruption never decodes.
-    """
-    value, end = _decode_from(data, 0)
-    if end != len(data):
-        raise SerializationError(
-            f"trailing bytes after canonical value ({len(data) - end})"
-        )
-    return value
-
-
-def _read_length(data: bytes, pos: int) -> tuple[int, int]:
-    """Parse the ``<digits>:`` length prefix starting at ``pos``."""
-    colon = data.find(b":", pos)
-    if colon < 0:
-        raise SerializationError("truncated length prefix")
-    digits = data[pos:colon]
-    if not digits.isdigit():
-        raise SerializationError(f"bad length prefix {digits!r}")
-    return int(digits), colon + 1
-
-
-def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
-    if pos >= len(data):
-        raise SerializationError("truncated canonical value")
-    tag = data[pos:pos + 1]
-    pos += 1
-    if tag == b"N":
-        return None, pos
-    if tag == b"T":
-        return True, pos
-    if tag == b"F":
-        return False, pos
-    if tag in (b"i", b"f", b"s", b"b"):
-        length, pos = _read_length(data, pos)
-        body = data[pos:pos + length]
-        if len(body) != length:
-            raise SerializationError("truncated scalar body")
-        pos += length
-        if tag == b"i":
-            return int(body), pos
-        if tag == b"f":
-            return float(body), pos
-        if tag == b"s":
-            return body.decode("utf-8"), pos
-        return bytes(body), pos
-    if tag == b"d":
-        count, pos = _read_length(data, pos)
-        out: dict[str, Any] = {}
-        for _ in range(count):
-            key, pos = _decode_from(data, pos)
-            if not isinstance(key, str):
-                raise SerializationError("mapping key must decode to str")
-            out[key], pos = _decode_from(data, pos)
-        if data[pos:pos + 1] != b"e":
-            raise SerializationError("unterminated mapping")
-        return out, pos + 1
-    if tag == b"l":
-        count, pos = _read_length(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_from(data, pos)
-            items.append(item)
-        if data[pos:pos + 1] != b"e":
-            raise SerializationError("unterminated sequence")
-        return items, pos + 1
-    raise SerializationError(f"unknown canonical tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------

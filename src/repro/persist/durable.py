@@ -331,8 +331,8 @@ class DurableBlockStore(BlockStore):
 
     def raw_block_items(self, start: int, count: int) -> list[dict]:
         """Range form of :meth:`raw_block_item`: three range queries and
-        one log pass instead of three queries + one read per block — the
-        snapshot server's tail hot path."""
+        one :meth:`SegmentLog.read_many` pass instead of three queries +
+        one read per block — the snapshot server's tail hot path."""
         import zlib
 
         stop = start + count            # exclusive
@@ -362,9 +362,10 @@ class DurableBlockStore(BlockStore):
                 "SELECT tx_id, height, body FROM receipts WHERE "
                 "height >= ? AND height < ?", (start, stop)):
             receipt_bodies.setdefault(height, {})[tx_id] = body
+        frames = self._log.read_many(
+            [(segment, offset) for _, segment, offset, _ in rows])
         items = []
-        for height, segment, offset, block_hash in rows:
-            frame = self._log.read(segment, offset)
+        for (height, _, _, block_hash), frame in zip(rows, frames):
             tx_ids = tx_rows.get(height, [])
             bodies = receipt_bodies.get(height, {})
             items.append({
@@ -534,12 +535,26 @@ class DurableRecordStore(RecordStore):
         return self._count
 
     def iter_items(self) -> Iterator[tuple[int, dict]]:
+        """The reindex path: one index query in position order, then
+        the frames the cache does not hold streamed off the log through
+        :meth:`SegmentLog.read_many` — no per-record query, open or
+        cache churn.  The addresses are read when iteration starts: a
+        record replaced while the iterator is suspended yields its
+        earlier version, and a compaction in that window can make the
+        iterator raise :class:`StorageError`."""
         # Driven by the index, not range(count): external damage to a
         # replaced record can leave a position hole after recovery.
-        positions = [pos for (pos,) in self._conn.execute(
-            "SELECT position FROM records ORDER BY position")]
-        for position in positions:
-            yield position, self.get(position)
+        rows = self._conn.execute(
+            "SELECT position, segment, offset FROM records "
+            "ORDER BY position").fetchall()
+        hits = [self._cache.get(position) for position, _, _ in rows]
+        payloads = self._log.read_many(
+            [(segment, offset)
+             for (_, segment, offset), hit in zip(rows, hits)
+             if hit is None])
+        for (position, _, _), hit in zip(rows, hits):
+            yield position, (decode_record(next(payloads)) if hit is None
+                             else dict(hit))
 
     def iter_records(self) -> Iterator[dict]:
         for _, record in self.iter_items():
@@ -693,8 +708,14 @@ class DurableStorage(MetaStore):
             max_segment_bytes=max_segment_bytes,
             codec=self.codec,
         )
-        self.recovered_blocks = self._recover_blocks()
-        self.recovered_records = self._recover_records()
+        try:
+            self.recovered_blocks = self._recover_blocks()
+            self.recovered_records = self._recover_records()
+        except StorageError:
+            # An unreadable log (an I/O error, not a torn tail) fails
+            # the open and changes nothing on disk.
+            self._conn.close()
+            raise
         self.blocks = DurableBlockStore(self._conn, self.block_log,
                                         cache_size=block_cache_size)
         self.records = DurableRecordStore(self._conn, self.record_log)
@@ -884,8 +905,8 @@ class DurableStorage(MetaStore):
                              codec=self.codec)
         if fail_after_bytes is not None:
             new_log.fail_after_bytes = fail_after_bytes
-        payloads = [old_log.read(segment, offset)
-                    for _, segment, offset in rows]
+        payloads = list(old_log.read_many(
+            [(segment, offset) for _, segment, offset in rows]))
         locations = new_log.append_many(payloads, fsync=True)
         with self._conn:
             self._conn.executemany(
@@ -972,8 +993,9 @@ class DurableStorage(MetaStore):
 
             self._cas = FileCAS(os.path.join(self.directory, "archive"))
         updates = []
-        for height, segment, offset in rows:
-            frame = self.block_log.read(segment, offset)
+        frames = self.block_log.read_many(
+            [(segment, offset) for _, segment, offset in rows])
+        for (height, _, _), frame in zip(rows, frames):
             cid = self._cas.put(frame)
             updates.append((f"{cid.kind}:{cid.hex}", height))
         sync = getattr(self._cas, "sync", None)

@@ -17,7 +17,9 @@ truncates back to the last entry it committed.  The ``fail_after_bytes``
 fault-injection hook makes that scenario reproducible in tests: the next
 append writes only a prefix of the frame and then raises
 :class:`CrashPoint`, exactly what ``kill -9`` mid-``write`` leaves
-behind.
+behind.  An I/O error is not a torn tail: every read raises
+:class:`StorageError` on one, so recovery stops instead of deleting
+acknowledged entries.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import StorageError
 
@@ -134,6 +136,44 @@ def _segment_name(segment: int) -> str:
     return f"seg-{segment:08d}.log"
 
 
+def _read_frame(fh, offset: int) -> tuple[bytes, int] | None:
+    """Parse the frame at ``offset`` of an open segment file:
+    ``(payload, on_disk_frame_length)``, or ``None`` for a short,
+    garbled or CRC-bad frame.  An I/O error raises
+    :class:`StorageError` (the one frame parser: ``read_many`` and
+    ``frame_info_at``, and through it ``read`` and ``scan``)."""
+    try:
+        fh.seek(offset)
+        head = fh.read(4)
+        if len(head) != 4:
+            return None
+        (word,) = _LEN.unpack(head)
+        length = word & _LEN_MASK
+        if length > _MAX_PAYLOAD:
+            return None
+        body = fh.read(length + 4)
+    except OSError as exc:
+        raise StorageError(
+            f"cannot read {fh.name} at offset {offset}: {exc}"
+        ) from exc
+    if len(body) != length + 4:
+        return None
+    stored = body[:length]
+    if zlib.crc32(stored) != _LEN.unpack_from(body, length)[0]:
+        return None
+    payload = SegmentCodec.decode(stored, bool(word & _FLAG_COMPRESSED))
+    if payload is None:
+        return None
+    return payload, FRAME_OVERHEAD + length
+
+
+def _invalid_frame(segment: int, offset: int) -> StorageError:
+    return StorageError(
+        f"invalid frame at segment {segment} offset {offset} "
+        "(index and log disagree — run recovery)"
+    )
+
+
 class SegmentLog:
     """Append-only, CRC-framed, segment-rolled byte log."""
 
@@ -155,7 +195,10 @@ class SegmentLog:
         # Fork guard: exec workers inherit this object (and possibly its
         # open write fd) across fork, but must never write — a child and
         # the parent sharing one append fd would interleave frames.  The
-        # read path is fork-safe (fresh handle per read).
+        # read path needs no guard: no read handle is cached on this
+        # object.  frame_info_at/read open and close one per call;
+        # read_many's handles live until its iterator is exhausted or
+        # closed, so a forked child must not resume a parent's iterator.
         self._owner_pid = os.getpid()
         segments = self._discover()
         self._current = segments[-1] if segments else 0
@@ -181,10 +224,16 @@ class SegmentLog:
         return os.path.join(self.directory, _segment_name(segment))
 
     def segment_size(self, segment: int) -> int:
+        """Bytes in ``segment``; 0 if its file is missing.  Any other
+        I/O error raises :class:`StorageError`: a wrong size would make
+        the next append report an offset its frame is not at."""
+        path = self._path(segment)
         try:
-            return os.path.getsize(self._path(segment))
-        except OSError:
+            return os.path.getsize(path)
+        except FileNotFoundError:
             return 0
+        except OSError as exc:
+            raise StorageError(f"cannot stat {path}: {exc}") from exc
 
     @property
     def current_segment(self) -> int:
@@ -332,43 +381,43 @@ class SegmentLog:
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
+    def _flush_writes(self) -> None:
+        # Reads go through their own handles: make appends still in the
+        # write handle's buffer visible to them first.
+        if self._write_fh is not None:
+            self._write_fh.flush()
+
+    def _open_segment(self, segment: int):
+        """Read handle on one segment, or ``None`` if its file is
+        missing.  Any other I/O error raises :class:`StorageError`: it
+        says nothing about the bytes on disk, so recovery must not read
+        it as a torn tail and delete acknowledged entries."""
+        path = self._path(segment)
+        try:
+            return open(path, "rb")
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise StorageError(f"cannot open {path}: {exc}") from exc
+
     def frame_info_at(self, segment: int,
                       offset: int) -> tuple[bytes, int] | None:
         """``(payload, on_disk_frame_length)`` for the frame at
         ``(segment, offset)``, or ``None`` if the frame is partial,
-        garbled, or absent (CRC checked before decompression).
+        garbled, or absent (CRC checked before decompression).  An I/O
+        error raises :class:`StorageError`.
 
         The on-disk length is what the index stores in its ``length``
         column; with a compressing codec it differs from
         ``len(payload) + FRAME_OVERHEAD``, so recovery must compare
         against this, never against the decoded payload size.
         """
-        if self._write_fh is not None:
-            self._write_fh.flush()
-        path = self._path(segment)
-        try:
-            with open(path, "rb") as fh:
-                fh.seek(offset)
-                head = fh.read(4)
-                if len(head) != 4:
-                    return None
-                (word,) = _LEN.unpack(head)
-                compressed = bool(word & _FLAG_COMPRESSED)
-                length = word & _LEN_MASK
-                if length > _MAX_PAYLOAD:
-                    return None
-                body = fh.read(length + 4)
-                if len(body) != length + 4:
-                    return None
-                stored, crc_bytes = body[:length], body[length:]
-                if zlib.crc32(stored) != _LEN.unpack(crc_bytes)[0]:
-                    return None
-                payload = SegmentCodec.decode(stored, compressed)
-                if payload is None:
-                    return None
-                return payload, FRAME_OVERHEAD + length
-        except OSError:
+        self._flush_writes()
+        fh = self._open_segment(segment)
+        if fh is None:
             return None
+        with fh:
+            return _read_frame(fh, offset)
 
     def frame_at(self, segment: int, offset: int) -> bytes | None:
         """Payload of the frame at ``(segment, offset)``, or ``None`` if
@@ -380,11 +429,37 @@ class SegmentLog:
         """Payload at an address the index vouches for; raises on damage."""
         payload = self.frame_at(segment, offset)
         if payload is None:
-            raise StorageError(
-                f"invalid frame at segment {segment} offset {offset} "
-                "(index and log disagree — run recovery)"
-            )
+            raise _invalid_frame(segment, offset)
         return payload
+
+    def read_many(self, addresses: Iterable[tuple[int, int]]
+                  ) -> Iterator[bytes]:
+        """Payloads at index-vouched ``(segment, offset)`` addresses, in
+        the order given; raises on damage like :meth:`read`.
+
+        Each segment is opened once, and every handle is closed when
+        the iterator is exhausted or closed; nothing is cached past it.
+        The handles are open while a caller holds the iterator, so a
+        forked child must not resume a parent's iterator, and a
+        compaction/truncation must not run while one is suspended.
+        """
+        self._flush_writes()
+        handles: dict = {}
+        try:
+            for segment, offset in addresses:
+                fh = handles.get(segment)
+                if fh is None:
+                    fh = self._open_segment(segment)
+                    if fh is None:
+                        raise _invalid_frame(segment, offset)
+                    handles[segment] = fh
+                info = _read_frame(fh, offset)
+                if info is None:
+                    raise _invalid_frame(segment, offset)
+                yield info[0]
+        finally:
+            for fh in handles.values():
+                fh.close()
 
     def scan(self, start: tuple[int, int] = (0, 0)
              ) -> Iterator[tuple[LogLocation, bytes]]:

@@ -10,6 +10,8 @@ must verify end to end.
 
 from __future__ import annotations
 
+import builtins
+import errno
 import os
 
 import pytest
@@ -191,10 +193,103 @@ class TestSegmentLog:
         # The victim frame is a partial write: invisible to scans.
         assert [p for _, p in log.scan()] == [b"good"]
 
+    def test_eio_on_live_segment_size_fails_open(self, tmp_path,
+                                                 monkeypatch):
+        """An I/O error on the live segment's stat is not an empty
+        segment: opening must raise, or the next append would report
+        offset 0 while its frame lands at the end of the file."""
+        log = SegmentLog(tmp_path)
+        log.append(b"first-frame")
+        log.close()
+        real_getsize = os.path.getsize
+        injected: list = []
+
+        def flaky_getsize(path):
+            if not injected:
+                injected.append(True)
+                raise OSError(errno.EIO, "injected I/O error", path)
+            return real_getsize(path)
+
+        monkeypatch.setattr(os.path, "getsize", flaky_getsize)
+        with pytest.raises(StorageError):
+            SegmentLog(tmp_path)
+        assert injected == [True]
+        monkeypatch.undo()
+
+        reopened = SegmentLog(tmp_path)
+        loc = reopened.append(b"second")
+        assert loc.offset > 0
+        assert reopened.read(loc.segment, loc.offset) == b"second"
+        assert [p for _, p in reopened.scan()] == [b"first-frame",
+                                                  b"second"]
+        # A missing segment file is still size 0, not an error.
+        assert reopened.segment_size(reopened.current_segment + 1) == 0
+        reopened.close()
+
+    @pytest.mark.parametrize("codec", ["raw", "zlib"])
+    def test_read_many_matches_read_across_segments(self, tmp_path,
+                                                    monkeypatch, codec):
+        log = SegmentLog(tmp_path, max_segment_bytes=96, codec=codec)
+        locs = [log.append((b"frame-%d-" % i) * (1 + i % 7))
+                for i in range(40)]
+        assert log.current_segment >= 5
+        # Any order, repeats included: a reindex after annotation visits
+        # segments out of address order.
+        order = locs[::3] + locs[::-1] + locs[:4]
+        addresses = [(loc.segment, loc.offset) for loc in order]
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        from repro.persist import segment as segment_module
+
+        monkeypatch.setattr(segment_module, "open", counting_open,
+                            raising=False)
+        payloads = list(log.read_many(addresses))
+        monkeypatch.undo()
+        assert payloads == [log.read(s, o) for s, o in addresses]
+        # One handle per segment touched, all closed when the call ends.
+        assert len(opened) == len({s for s, _ in addresses})
+        assert all(fh.closed for fh in opened)
+        log.close()
+
+    def test_read_many_rejects_a_bad_address(self, tmp_path):
+        log = SegmentLog(tmp_path, max_segment_bytes=64)
+        locs = [log.append(b"z" * 20) for _ in range(6)]
+        good = (locs[0].segment, locs[0].offset)
+        for bad in [(locs[1].segment, locs[1].offset + 3), (99, 0)]:
+            with pytest.raises(StorageError):
+                list(log.read_many([good, bad]))
+        log.close()
+
 
 # ---------------------------------------------------------------------------
 # Crash recovery (kill mid-append)
 # ---------------------------------------------------------------------------
+def _fail_first_read_open(monkeypatch, directory) -> list:
+    """Make the segment module's first read-mode open of a file under
+    ``directory`` raise EIO; the returned list records the injection."""
+    from repro.persist import segment as segment_module
+
+    real_open = builtins.open
+    prefix = os.fspath(directory)
+    injected: list = []
+
+    def flaky_open(path, mode="r", *args, **kwargs):
+        if (not injected and mode == "rb"
+                and os.fspath(path).startswith(prefix)):
+            injected.append(True)
+            raise OSError(errno.EIO, "injected I/O error", path)
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(segment_module, "open", flaky_open, raising=False)
+    return injected
+
+
 class TestCrashRecovery:
     def _open_chain(self, directory) -> tuple[DurableStorage, Blockchain]:
         storage = DurableStorage(directory)
@@ -257,6 +352,55 @@ class TestCrashRecovery:
         storage2, chain2 = self._open_chain(tmp_path)
         assert chain2.height == 3
         chain2.verify(deep=True)
+        storage2.close()
+
+    def test_eio_on_block_log_read_fails_reopen(self, tmp_path,
+                                                monkeypatch):
+        """An I/O error is not a torn tail: reopen must fail and stop,
+        not delete acknowledged blocks."""
+        storage, chain = self._open_chain(tmp_path)
+        grow_chain(chain, 4)
+        head = chain.head.block_hash
+        chain.close()
+
+        injected = _fail_first_read_open(monkeypatch,
+                                         tmp_path / "blocks-log")
+        with pytest.raises(StorageError):
+            self._open_chain(tmp_path)
+        assert injected == [True]
+        monkeypatch.undo()
+
+        storage2, chain2 = self._open_chain(tmp_path)
+        assert storage2.recovered_blocks == 0
+        assert chain2.height == 4
+        assert chain2.head.block_hash == head
+        chain2.verify(deep=True)
+        storage2.close()
+
+    def test_eio_on_record_log_read_fails_reopen(self, tmp_path,
+                                                 monkeypatch):
+        from repro.storage.provdb import ProvenanceDatabase
+
+        storage = DurableStorage(tmp_path)
+        db = ProvenanceDatabase(store=storage.records)
+        db.insert_many([{"record_id": f"r{i}", "subject": "s",
+                         "timestamp": i} for i in range(50)])
+        storage.sync()
+        storage.close()
+
+        injected = _fail_first_read_open(monkeypatch,
+                                         tmp_path / "records-log")
+        with pytest.raises(StorageError):
+            ProvenanceDatabase(store=DurableStorage(tmp_path).records)
+        assert injected == [True]
+        monkeypatch.undo()
+
+        storage2 = DurableStorage(tmp_path)
+        assert storage2.recovered_records == 0
+        db2 = ProvenanceDatabase(store=storage2.records)
+        assert len(db2) == 50
+        assert [r["record_id"] for r in db2.by_subject("s")] == \
+            [f"r{i}" for i in range(50)]
         storage2.close()
 
     def test_stale_snapshot_above_recovered_head(self, tmp_path):
@@ -752,6 +896,64 @@ class TestDurableDatabase:
         assert db2.get("r1")["anchor_id"] == "anchor-007"
         # sqlite-level record_id → position index survives too.
         assert storage2.records.location_of_id("r1") == 0
+        storage2.close()
+
+    @pytest.mark.parametrize("max_segment_bytes", [4 * 1024 * 1024, 256])
+    def test_reindex_after_annotation_matches_before_close(
+            self, tmp_path, max_segment_bytes):
+        """``annotate`` repoints old positions at newer frames; the
+        streamed reindex must rebuild the same inverted indexes."""
+        from repro.storage.provdb import ProvenanceDatabase
+
+        storage = DurableStorage(tmp_path,
+                                 max_segment_bytes=max_segment_bytes)
+        db = ProvenanceDatabase(store=storage.records)
+        for i in range(40):
+            db.insert({"record_id": f"r{i}", "subject": f"s{i % 5}",
+                       "actor": f"a{i % 3}", "operation": "op",
+                       "timestamp": (i * 7) % 13})
+        for i in (0, 17, 3, 39, 17):
+            db.annotate(f"r{i}", anchor_id=f"anchor-{i}")
+        before = (dict(db._by_id), dict(db._by_subject),
+                  dict(db._by_actor), list(db._by_time))
+        records = [db.get(f"r{i}") for i in range(40)]
+        storage.close()
+
+        storage2 = DurableStorage(tmp_path,
+                                  max_segment_bytes=max_segment_bytes)
+        db2 = ProvenanceDatabase(store=storage2.records)
+        assert (dict(db2._by_id), dict(db2._by_subject),
+                dict(db2._by_actor), list(db2._by_time)) == before
+        assert [db2.get(f"r{i}") for i in range(40)] == records
+        assert db2.get("r17")["anchor_id"] == "anchor-17"
+        storage2.close()
+
+    def test_corrupt_record_mid_log_fails_reindex(self, tmp_path):
+        """Recovery checks only the newest frame; a damaged frame in the
+        middle of the log surfaces when the reindex reads it."""
+        from repro.storage.provdb import ProvenanceDatabase
+
+        storage = DurableStorage(tmp_path)
+        db = ProvenanceDatabase(store=storage.records)
+        for i in range(10):
+            db.insert({"record_id": f"r{i}", "subject": "s",
+                       "timestamp": i})
+        segment, offset = storage.records._conn.execute(
+            "SELECT segment, offset FROM records WHERE position = 4"
+        ).fetchone()
+        storage.close()
+
+        path = os.path.join(str(tmp_path), "records-log",
+                            f"seg-{segment:08d}.log")
+        with open(path, "rb+") as fh:
+            fh.seek(offset + 10)
+            fh.write(b"\xde\xad")
+        storage2 = DurableStorage(tmp_path)
+        assert storage2.recovered_records == 0
+        with pytest.raises(StorageError):
+            ProvenanceDatabase(store=storage2.records)
+        with pytest.raises(StorageError):
+            storage2.records.get(4)
         storage2.close()
 
     def test_memory_store_blocks_setter_guard(self, tmp_path):
